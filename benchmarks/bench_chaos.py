@@ -27,7 +27,7 @@ from pathlib import Path
 from repro.bus.broker import Broker
 from repro.bus.client import EventPublisher
 from repro.faults import ChaosBroker, FaultPlan
-from repro.loader import load_from_bus, make_loader
+from repro.loader.nl_load import load_from_bus, make_loader
 from repro.model.entities import (
     HostRow,
     InvocationRow,

@@ -10,7 +10,7 @@ cost of reduced parallelism at large cluster sizes.
 """
 import pytest
 
-from repro.loader import load_events
+from repro.loader.nl_load import load_events
 from repro.pegasus import PlannerConfig, Site, SiteCatalog, run_pegasus_workflow
 from repro.query import StampedeQuery
 from repro.triana.appender import MemoryAppender

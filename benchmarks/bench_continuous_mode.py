@@ -9,7 +9,7 @@ to single-step streams.
 import pytest
 
 from repro.dart.streaming import run_streaming_dart
-from repro.loader import load_events
+from repro.loader.nl_load import load_events
 from repro.query import StampedeQuery
 from repro.triana.appender import MemoryAppender
 

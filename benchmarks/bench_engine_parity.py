@@ -8,7 +8,7 @@ engines, loaded by the same loader — events/second should be comparable.
 """
 import pytest
 
-from repro.loader import load_events
+from repro.loader.nl_load import load_events
 from repro.pegasus import PlannerConfig, Site, SiteCatalog, run_pegasus_workflow
 from repro.triana.appender import MemoryAppender
 from repro.triana.scheduler import Scheduler

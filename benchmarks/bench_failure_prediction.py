@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.core.prediction import failure_score, failure_signals
-from repro.loader import load_events
+from repro.loader.nl_load import load_events
 from repro.pegasus import PlannerConfig, Site, SiteCatalog, run_pegasus_workflow
 from repro.query import StampedeQuery
 from repro.triana.appender import MemoryAppender

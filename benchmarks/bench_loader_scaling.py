@@ -47,7 +47,8 @@ except ImportError:  # pragma: no cover - smoke mode must run without pytest
 from repro.archive.store import StampedeArchive
 from repro.bus.broker import Broker
 from repro.bus.client import BusSink, EventConsumer
-from repro.loader import StampedeLoader, load_events, load_file
+from repro.loader.nl_load import load_events, load_file
+from repro.loader.stampede_loader import StampedeLoader
 from repro.orm import MemoryDatabase
 from repro.pegasus import PlannerConfig, Site, SiteCatalog, run_pegasus_workflow
 from repro.triana.appender import MemoryAppender

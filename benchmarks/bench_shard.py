@@ -51,7 +51,7 @@ from pathlib import Path
 
 from repro.archive.shard import ShardSet, ShardedLoader, partition_events
 from repro.archive.store import StampedeArchive
-from repro.loader import StampedeLoader
+from repro.loader.stampede_loader import StampedeLoader
 from repro.orm import MemoryDatabase
 from repro.pegasus import PlannerConfig, Site, SiteCatalog, run_pegasus_workflow
 from repro.triana.appender import MemoryAppender

@@ -15,7 +15,7 @@ Run:  python examples/continuous_mode.py
 import numpy as np
 
 from repro.core.statistics import workflow_statistics
-from repro.loader import load_events
+from repro.loader.nl_load import load_events
 from repro.query import StampedeQuery
 from repro.triana.appender import MemoryAppender
 from repro.triana.scheduler import Scheduler

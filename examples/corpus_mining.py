@@ -12,7 +12,7 @@ and CyberShake shapes over two sites — into ONE archive, then mines it:
 Run:  python examples/corpus_mining.py
 """
 from repro.core.corpus import build_corpus_report, predict_workflow_runtime
-from repro.loader import make_loader
+from repro.loader.nl_load import make_loader
 from repro.pegasus import PlannerConfig, Site, SiteCatalog, run_pegasus_workflow
 from repro.query import StampedeQuery
 from repro.triana.appender import MemoryAppender

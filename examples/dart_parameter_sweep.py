@@ -25,7 +25,7 @@ from repro.core.reports import (
 from repro.core.statistics import job_rows, job_type_breakdown, workflow_statistics
 from repro.core.timeseries import bundle_progress
 from repro.dart.workflow import run_dart_experiment
-from repro.loader import load_events
+from repro.loader.nl_load import load_events
 from repro.query import StampedeQuery
 from repro.triana.appender import MemoryAppender
 

@@ -9,7 +9,7 @@ Run:  python examples/pegasus_montage.py
 """
 from repro.core.reports import render_all
 from repro.core.statistics import workflow_statistics
-from repro.loader import load_events
+from repro.loader.nl_load import load_events
 from repro.pegasus import Planner, PlannerConfig, Site, SiteCatalog, DAGManRun
 from repro.query import StampedeQuery
 from repro.triana.appender import MemoryAppender

@@ -11,7 +11,7 @@ from repro.bus.broker import Broker
 from repro.bus.client import BusSink, EventConsumer
 from repro.core.reports import render_all
 from repro.core.statistics import workflow_statistics
-from repro.loader import make_loader
+from repro.loader.nl_load import make_loader
 from repro.triana.scheduler import Scheduler
 from repro.triana.stampede_log import StampedeLog
 from repro.triana.taskgraph import TaskGraph

@@ -18,7 +18,7 @@ from repro.bus.client import BusSink
 from repro.core.dashboard import Dashboard
 from repro.dart.sweep import sweep_grid
 from repro.dart.workflow import run_dart_experiment
-from repro.loader import load_from_bus, make_loader
+from repro.loader.nl_load import load_from_bus, make_loader
 from repro.model.entities import WorkflowStateRow
 
 

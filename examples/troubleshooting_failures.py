@@ -15,7 +15,7 @@ import numpy as np
 from repro.core.analyzer import analyze, render_analysis
 from repro.core.anomaly import RobustRuntimeDetector, scan_archive
 from repro.core.prediction import failure_score, failure_signals
-from repro.loader import load_events
+from repro.loader.nl_load import load_events
 from repro.pegasus import PlannerConfig, Site, SiteCatalog, run_pegasus_workflow
 from repro.query import StampedeQuery
 from repro.triana.appender import MemoryAppender

@@ -21,7 +21,7 @@ This module provides:
     one shard.
 
 :class:`ShardedLoader`
-    The write path: one :class:`~repro.loader.StampedeLoader` per shard,
+    The write path: one :class:`~repro.loader.stampede_loader.StampedeLoader` per shard,
     each on its own writer thread with the PR 2/3 machinery intact —
     transactional batch flushes with retries, and a per-shard
     checkpoint row committed atomically with the shard's batch.  The

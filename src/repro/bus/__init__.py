@@ -1,47 +1,1 @@
 """In-process AMQP-style topic message bus (RabbitMQ substitute)."""
-from repro.bus.broker import (
-    DEAD_LETTER_QUEUE,
-    DEFAULT_EXCHANGE,
-    Binding,
-    Broker,
-    ConnectionLostError,
-    Consumer,
-    Exchange,
-)
-from repro.bus.client import (
-    BusSink,
-    EventConsumer,
-    EventPublisher,
-    EventSink,
-    FileSink,
-    MultiSink,
-)
-from repro.bus.queues import Message, MessageQueue, QueueFullError, QueueStats
-from repro.bus.reliable import HEADER_PUBLISHER, HEADER_SEQ, Resequencer
-from repro.bus.topic import compile_pattern, topic_matches, validate_pattern
-
-__all__ = [
-    "DEAD_LETTER_QUEUE",
-    "DEFAULT_EXCHANGE",
-    "ConnectionLostError",
-    "HEADER_PUBLISHER",
-    "HEADER_SEQ",
-    "Resequencer",
-    "Binding",
-    "Broker",
-    "Consumer",
-    "Exchange",
-    "BusSink",
-    "EventConsumer",
-    "EventPublisher",
-    "EventSink",
-    "FileSink",
-    "MultiSink",
-    "Message",
-    "MessageQueue",
-    "QueueFullError",
-    "QueueStats",
-    "compile_pattern",
-    "topic_matches",
-    "validate_pattern",
-]

@@ -1,96 +1,2 @@
 """Stampede analysis tools: statistics, analyzer, time series, anomaly
 detection, failure/runtime prediction, and the embedded dashboard."""
-from repro.core.analyzer import (
-    FailedJobReport,
-    WorkflowAnalysis,
-    analyze,
-    render_analysis,
-)
-from repro.core.anomaly import (
-    Anomaly,
-    EwmaDetector,
-    RobustRuntimeDetector,
-    detector_from_events,
-    scan_archive,
-)
-from repro.core.corpus import (
-    CorpusReport,
-    SiteProfile,
-    TransformationProfile,
-    build_corpus_report,
-    predict_workflow_runtime,
-)
-from repro.core.dashboard import Dashboard, DashboardData
-from repro.core.prediction import (
-    FailureSignals,
-    RuntimeEstimate,
-    estimate_remaining_runtime,
-    failure_score,
-    failure_signals,
-)
-from repro.core.reports import (
-    render_all,
-    render_breakdown,
-    render_hosts,
-    render_jobs,
-    render_jobs_timing,
-    render_summary,
-)
-from repro.core.statistics import (
-    HostUsage,
-    TypeBreakdown,
-    WorkflowStatistics,
-    host_breakdown,
-    job_rows,
-    job_type_breakdown,
-    workflow_statistics,
-)
-from repro.core.timeseries import (
-    GanttRow,
-    ProgressSeries,
-    bundle_progress,
-    gantt,
-    throughput_series,
-)
-
-__all__ = [
-    "FailedJobReport",
-    "WorkflowAnalysis",
-    "analyze",
-    "render_analysis",
-    "Anomaly",
-    "EwmaDetector",
-    "RobustRuntimeDetector",
-    "detector_from_events",
-    "scan_archive",
-    "CorpusReport",
-    "SiteProfile",
-    "TransformationProfile",
-    "build_corpus_report",
-    "predict_workflow_runtime",
-    "Dashboard",
-    "DashboardData",
-    "FailureSignals",
-    "RuntimeEstimate",
-    "estimate_remaining_runtime",
-    "failure_score",
-    "failure_signals",
-    "render_all",
-    "render_breakdown",
-    "render_hosts",
-    "render_jobs",
-    "render_jobs_timing",
-    "render_summary",
-    "HostUsage",
-    "TypeBreakdown",
-    "WorkflowStatistics",
-    "host_breakdown",
-    "job_rows",
-    "job_type_breakdown",
-    "workflow_statistics",
-    "GanttRow",
-    "ProgressSeries",
-    "bundle_progress",
-    "gantt",
-    "throughput_series",
-]

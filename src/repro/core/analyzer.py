@@ -16,7 +16,7 @@ from typing import List, Optional
 from repro.archive.store import StampedeArchive
 from repro.model.entities import JobInstanceRow, JobRow
 from repro.query.api import StampedeQuery
-from repro.schema.stampede import SUCCESS
+from repro.schema.events import SUCCESS
 
 __all__ = ["FailedJobReport", "WorkflowAnalysis", "analyze", "render_analysis", "main"]
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.netlogger.events import NLEvent
 from repro.query.api import StampedeQuery
-from repro.schema.stampede import Events
+from repro.schema.events import Events
 
 __all__ = [
     "Anomaly",

@@ -43,7 +43,7 @@ from repro.core.statistics import workflow_statistics
 from repro.obs.export import PROMETHEUS_CONTENT_TYPE, render_prometheus
 from repro.obs.metrics import MetricsRegistry, get_registry
 from repro.query.api import StampedeQuery
-from repro.schema.stampede import SUCCESS
+from repro.schema.events import SUCCESS
 
 __all__ = ["DashboardData", "Dashboard"]
 

@@ -39,7 +39,7 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 from repro.core.rollup import commit_seq, last_commit_ts
 from repro.model.entities import RollupWorkflowRow
 from repro.obs.metrics import MetricsRegistry
-from repro.schema.stampede import SUCCESS
+from repro.schema.events import SUCCESS
 
 __all__ = ["ReadCache", "LiveFeed", "bind_live"]
 

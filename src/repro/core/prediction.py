@@ -18,7 +18,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.query.api import StampedeQuery
-from repro.schema.stampede import SUCCESS
+from repro.schema.events import SUCCESS
 
 __all__ = [
     "RuntimeEstimate",

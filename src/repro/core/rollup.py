@@ -54,7 +54,7 @@ from repro.model.entities import (
     WorkflowStateRow,
 )
 from repro.model.states import WorkflowState
-from repro.schema.stampede import SUCCESS
+from repro.schema.events import SUCCESS
 
 __all__ = [
     "TIERS",

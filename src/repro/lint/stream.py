@@ -43,7 +43,8 @@ from repro.model.states import (
 from repro.netlogger.bp import BPParseError, parse_bp_pairs
 from repro.netlogger.events import Level, NLEvent
 from repro.schema.compiler import SchemaRegistry
-from repro.schema.stampede import STAMPEDE_SCHEMA, SUCCESS, Events
+from repro.schema.events import SUCCESS, Events
+from repro.schema.stampede import STAMPEDE_SCHEMA
 from repro.schema.validator import EventValidator
 from repro.util.timeutil import parse_ts
 

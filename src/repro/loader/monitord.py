@@ -18,13 +18,15 @@ from __future__ import annotations
 import os
 import threading
 import time
-from typing import Callable, Optional, Union
+from typing import TYPE_CHECKING, Callable, Optional, Union
 
-from repro.loader.pipeline import ParsePool
 from repro.loader.stampede_loader import StampedeLoader
 from repro.model.entities import WorkflowStateRow
 from repro.model.states import WorkflowState
 from repro.netlogger.stream import tail_events_with_offsets, tail_raw
+
+if TYPE_CHECKING:  # pragma: no cover - typing only; loaded where it runs
+    from repro.loader.pipeline import ParsePool
 
 __all__ = ["follow_file", "Monitord"]
 
@@ -194,16 +196,16 @@ class Monitord:
             if self._stop.is_set():
                 return
             time.sleep(self.poll_interval)
-        pool = (
-            ParsePool(
+        pool = None
+        if self.workers > 0 or self.parse_mode != "fast":
+            from repro.loader.pipeline import ParsePool
+
+            pool = ParsePool(
                 workers=self.workers,
                 mode=self.worker_mode,
                 parse_mode=self.parse_mode,
                 chunk_size=self.chunk_size,
             )
-            if self.workers > 0 or self.parse_mode != "fast"
-            else None
-        )
         try:
             self.events_loaded = follow_file(
                 self.path,

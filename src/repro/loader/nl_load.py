@@ -19,33 +19,38 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from typing import Callable, Dict, Iterable, List, Optional, TextIO, Tuple, Union
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    TextIO,
+    Tuple,
+    Union,
+)
 
 from repro.archive.store import StampedeArchive
-from repro.bus.broker import Broker, ConnectionLostError
-from repro.bus.client import EventConsumer
-from repro.bus.groups import GroupConsumer
-from repro.bus.queues import Message
-from repro.bus.reliable import HEADER_PUBLISHER, HEADER_SEQ, Resequencer
-from repro.lint.config import LintConfig
-from repro.lint.report import render_text
-from repro.lint.rules import Finding, Severity
-from repro.lint.stream import StreamLinter
 from repro.loader.checkpoint import CheckpointManager
-from repro.loader.dlq import DeadLetterQueue
-from repro.loader.pipeline import ParsePool
-from repro.loader.spill import SpillBuffer
 from repro.loader.stampede_loader import LoaderError, LoaderStats, StampedeLoader
 from repro.netlogger.events import NLEvent
-from repro.obs.instrument import bind_broker, bind_faults, bind_loader
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.spans import PipelineClock
 from repro.netlogger.stream import (
     BPReader,
     read_events_with_offsets,
     read_lines,
     read_lines_with_offsets,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - typing only; loaded where they run
+    from repro.bus.broker import Broker
+    from repro.bus.queues import Message
+    from repro.lint.config import LintConfig
+    from repro.lint.rules import Finding
+    from repro.loader.dlq import DeadLetterQueue
+    from repro.loader.pipeline import ParsePool
+    from repro.loader.spill import SpillBuffer
+    from repro.obs.metrics import MetricsRegistry
 
 __all__ = [
     "load_events",
@@ -99,6 +104,8 @@ def make_loader(
         rollup=rollup,
     )
     if metrics is not None:
+        from repro.obs.instrument import bind_loader
+
         bind_loader(metrics, loader)
     return loader
 
@@ -141,13 +148,8 @@ def load_file(
     ``parse_mode='strict'`` forces the reference char-by-char BP scanner
     instead of the fast-path tokenizers.
     """
-    if workers > 0 or parse_mode != "fast":
-        pool = ParsePool(
-            workers=workers,
-            mode=worker_mode,
-            parse_mode=parse_mode,
-            chunk_size=chunk_size,
-        )
+    pool = _parse_pool(workers, worker_mode, parse_mode, chunk_size)
+    if pool is not None:
         with pool:
             return _load_file_pipelined(
                 path, loader, on_error, resume, pool, loader_kwargs
@@ -166,6 +168,20 @@ def load_file(
     if resume:
         raise ValueError("resume=True requires a loader with a checkpoint manager")
     return load_events(BPReader(path, on_error=on_error), loader, **loader_kwargs)
+
+
+def _parse_pool(
+    workers: int, worker_mode: str, parse_mode: str, chunk_size: int
+) -> Optional[ParsePool]:
+    """The ParsePool a load asks for (workers or the strict parser), else
+    None; only then is :mod:`repro.loader.pipeline` imported."""
+    if workers <= 0 and parse_mode == "fast":
+        return None
+    from repro.loader.pipeline import ParsePool
+
+    return ParsePool(
+        workers=workers, mode=worker_mode, parse_mode=parse_mode, chunk_size=chunk_size
+    )
 
 
 def _load_file_pipelined(
@@ -243,6 +259,9 @@ def load_file_linted(
     object — instead of being silently archived; everything else is loaded
     normally.  Returns ``(loader, findings, quarantined_count)``.
     """
+    from repro.lint.rules import Severity
+    from repro.lint.stream import StreamLinter
+
     if loader is None:
         loader = make_loader(**loader_kwargs)
     path = source if isinstance(source, str) else "<stdin>"
@@ -374,6 +393,15 @@ def load_from_bus(
       partition streams, which is what keeps it exactly-once);
       ``partitions`` sizes a group created on first join.
     """
+    from repro.bus.broker import Broker, ConnectionLostError
+    from repro.bus.client import EventConsumer
+    from repro.bus.groups import GroupConsumer
+    from repro.bus.reliable import HEADER_PUBLISHER, HEADER_SEQ, Resequencer
+    from repro.loader.dlq import DeadLetterQueue
+    from repro.loader.spill import SpillBuffer
+    from repro.obs.instrument import bind_broker, bind_loader
+    from repro.obs.spans import PipelineClock
+
     remote = isinstance(broker, str)
     if resume and (remote or group is not None):
         # delivery tags are member-local for groups and
@@ -392,16 +420,7 @@ def load_from_bus(
     clock = PipelineClock(metrics) if metrics is not None else None
     if metrics is not None and isinstance(broker, Broker):
         bind_broker(metrics, broker)
-    pool = (
-        ParsePool(
-            workers=workers,
-            mode=worker_mode,
-            parse_mode=parse_mode,
-            chunk_size=chunk_size,
-        )
-        if workers > 0 or parse_mode != "fast"
-        else None
-    )
+    pool = _parse_pool(workers, worker_mode, parse_mode, chunk_size)
     burst_limit = max(1, chunk_size) * max(1, workers)
     consumer: Union[EventConsumer, GroupConsumer, "RemoteConsumer"]
     if remote:
@@ -676,6 +695,17 @@ def load_from_bus(
     return loader
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts that must be at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
 def main(argv: Optional[list] = None) -> int:
     """Command-line nl_load for file inputs.
 
@@ -683,6 +713,9 @@ def main(argv: Optional[list] = None) -> int:
 
         nl-load workflow.bp stampede_loader connString=sqlite:///run.db
     """
+    # CPU spent before the load starts: interpreter start-up plus imports
+    # when run as a command; reported by -v next to the wall time
+    startup_cpu = time.process_time()
     parser = argparse.ArgumentParser(
         prog="nl-load", description="Load NetLogger BP logs into a Stampede archive."
     )
@@ -703,7 +736,7 @@ def main(argv: Optional[list] = None) -> int:
         nargs="*",
         help="module parameters, e.g. connString=sqlite:///out.db",
     )
-    parser.add_argument("-b", "--batch-size", type=int, default=500)
+    parser.add_argument("-b", "--batch-size", type=_positive_int, default=500)
     parser.add_argument(
         "-w",
         "--workers",
@@ -726,7 +759,7 @@ def main(argv: Optional[list] = None) -> int:
     )
     parser.add_argument(
         "--chunk-size",
-        type=int,
+        type=_positive_int,
         default=256,
         help="lines per parse-pool work unit (default: 256)",
     )
@@ -784,7 +817,7 @@ def main(argv: Optional[list] = None) -> int:
     )
     parser.add_argument(
         "--shards",
-        type=int,
+        type=_positive_int,
         metavar="N",
         help="with --shard-dir: shard count when creating a new set "
         "(opening an existing set with a different N fails loudly)",
@@ -850,7 +883,7 @@ def main(argv: Optional[list] = None) -> int:
     )
     parser.add_argument(
         "--partitions",
-        type=int,
+        type=_positive_int,
         default=8,
         help="with --group: partition count if this join creates the "
         "group (default: 8)",
@@ -938,16 +971,16 @@ def main(argv: Optional[list] = None) -> int:
 
     # Self-monitoring: a fresh registry per invocation (the process
     # default stays untouched), served over HTTP and/or dumped as BP.
-    registry: Optional[MetricsRegistry] = None
+    registry = None
     server = None
     if args.metrics_port is not None or args.self_log:
+        from repro.obs.metrics import MetricsRegistry
+
         registry = MetricsRegistry()
 
     if args.shard_dir is not None:
         # import lazily: repro.archive.shard imports from this package
         from repro.archive.shard import ShardedLoader, ShardSet
-        from repro.archive.tier import tier_finished
-        from repro.obs.instrument import bind_shards
 
         shard_set = (
             ShardSet.create(args.shard_dir, args.shards)
@@ -963,6 +996,8 @@ def main(argv: Optional[list] = None) -> int:
             rollup=not args.no_rollup,
         )
         if registry is not None:
+            from repro.obs.instrument import bind_shards
+
             bind_shards(registry, sharded)
             if args.metrics_port is not None:
                 from repro.obs.export import MetricsServer
@@ -980,6 +1015,8 @@ def main(argv: Optional[list] = None) -> int:
             run_sharded()
         sharded.close()
         if args.tier_finished:
+            from repro.archive.tier import tier_finished
+
             report = tier_finished(shard_set)
             print(
                 f"tiered {report.tiered_roots} finished root workflow(s) "
@@ -988,7 +1025,7 @@ def main(argv: Optional[list] = None) -> int:
                 file=sys.stderr,
             )
         if args.verbose:
-            _print_shard_stats(sharded.stats())
+            _print_shard_stats(sharded.stats(), startup_cpu)
         _finish_obs(registry, server, args)
         shard_set.close()
         return 0
@@ -1013,6 +1050,8 @@ def main(argv: Optional[list] = None) -> int:
         plan = FaultPlan.from_file(args.faults)
         loader.archive.db = plan.wrap_database(loader.archive.db)
         if registry is not None:
+            from repro.obs.instrument import bind_faults
+
             bind_faults(registry, plan.stats)
     if registry is not None and args.metrics_port is not None:
         from repro.obs.export import MetricsServer
@@ -1063,11 +1102,14 @@ def main(argv: Optional[list] = None) -> int:
             _profiled(run_bus, args.profile) if args.profile else run_bus()
         ).stats
         if args.verbose:
-            _print_stats(stats)
+            _print_stats(stats, startup_cpu)
         _finish_obs(registry, server, args)
         return 0
 
     if args.lint:
+        from repro.lint.config import LintConfig
+        from repro.lint.report import render_text
+
         # BP permits engine-specific extras, so unknown attrs stay quiet;
         # hard schema errors still quarantine.
         config = LintConfig(allow_unknown_attrs=True)
@@ -1089,7 +1131,7 @@ def main(argv: Optional[list] = None) -> int:
                 f"quarantined {quarantined} event(s){where}", file=sys.stderr
             )
         if args.verbose:
-            _print_stats(stats)
+            _print_stats(stats, startup_cpu)
         _finish_obs(registry, server, args)
         return 1 if quarantined else 0
 
@@ -1109,7 +1151,7 @@ def main(argv: Optional[list] = None) -> int:
     ).stats
 
     if args.verbose:
-        _print_stats(stats)
+        _print_stats(stats, startup_cpu)
         if plan is not None:
             print(f"faults injected  : {plan.stats.total_injected}", file=sys.stderr)
     _finish_obs(registry, server, args)
@@ -1159,7 +1201,7 @@ def _profiled(fn, path: str):
     return result
 
 
-def _print_shard_stats(snap: Dict[str, object]) -> None:
+def _print_shard_stats(snap: Dict[str, object], startup_cpu: float) -> None:
     print(f"shards           : {snap['shards']}")
     print(f"events processed : {snap['events_processed']}")
     print(f"rows inserted    : {snap['rows_inserted']}")
@@ -1173,10 +1215,11 @@ def _print_shard_stats(snap: Dict[str, object]) -> None:
     wall = float(snap["wall_seconds"])  # type: ignore[arg-type]
     events = int(snap["events_processed"])  # type: ignore[arg-type]
     print(f"wall seconds     : {wall:.3f}")
+    print(f"startup cpu s    : {startup_cpu:.3f}")
     print(f"events/second    : {(events / wall if wall else 0.0):,.0f}")
 
 
-def _print_stats(stats: LoaderStats) -> None:
+def _print_stats(stats: LoaderStats, startup_cpu: float) -> None:
     # One atomic snapshot: with a parallel pipeline still settling, field
     # reads spread over several statements could mix two batches' state.
     snap = stats.snapshot()
@@ -1217,6 +1260,7 @@ def _print_stats(stats: LoaderStats) -> None:
             f"(spilled={snap['spilled_events']} drains={snap['spill_drains']})"
         )
     print(f"wall seconds     : {snap['wall_seconds']:.3f}")
+    print(f"startup cpu s    : {startup_cpu:.3f}")
     print(f"events/second    : {snap['events_per_second']:,.0f}")
 
 

@@ -46,10 +46,9 @@ from repro.model.entities import (
 )
 from repro.model.states import JobState, WorkflowState
 from repro.netlogger.events import NLEvent
-from repro.schema.stampede import STAMPEDE_SCHEMA, Events, SUCCESS
+from repro.schema.events import SUCCESS, Events
 from repro.util.retry import CircuitBreaker, RetryPolicy
 from repro.util.timeutil import parse_ts
-from repro.schema.validator import EventValidator
 
 __all__ = ["LoaderError", "LoaderStats", "StampedeLoader", "OBS_EVENT_PREFIX"]
 
@@ -330,11 +329,12 @@ class StampedeLoader:
             self.rollup: Optional[RollupMaintainer] = RollupMaintainer(archive)
         else:
             self.rollup = None
-        self._validator = (
-            EventValidator(STAMPEDE_SCHEMA, allow_unknown_attrs=True)
-            if validate
-            else None
-        )
+        self._validator = None
+        if validate:
+            from repro.schema.stampede import STAMPEDE_SCHEMA
+            from repro.schema.validator import EventValidator
+
+            self._validator = EventValidator(STAMPEDE_SCHEMA, allow_unknown_attrs=True)
         self._workflows: Dict[str, _WorkflowCache] = {}  # xwf.id -> cache
         # ordered journal of pending ops: ("insert", entity) or
         # ("update", entity_type, values, where) — replayed in order so an

@@ -1,45 +1,1 @@
 """NetLogger Toolkit substrate: BP log format, typed events, streams, filters."""
-from repro.netlogger.bp import (
-    BPParseError,
-    format_bp_line,
-    parse_bp_line,
-    parse_bp_pairs,
-    quote_value,
-)
-from repro.netlogger.events import Level, NLEvent
-from repro.netlogger.filters import (
-    by_pattern,
-    by_time_window,
-    by_workflow,
-    event_counts,
-    sample,
-    split_by_workflow,
-)
-from repro.netlogger.stream import (
-    BPReader,
-    BPWriter,
-    read_events,
-    tail_events,
-    write_events,
-)
-
-__all__ = [
-    "BPParseError",
-    "format_bp_line",
-    "parse_bp_line",
-    "parse_bp_pairs",
-    "quote_value",
-    "Level",
-    "NLEvent",
-    "by_pattern",
-    "by_time_window",
-    "by_workflow",
-    "event_counts",
-    "sample",
-    "split_by_workflow",
-    "BPReader",
-    "BPWriter",
-    "read_events",
-    "tail_events",
-    "write_events",
-]

@@ -6,56 +6,3 @@ latency stamps (:mod:`repro.obs.spans`), exporters for Prometheus
 scraping and BP self-logging (:mod:`repro.obs.export`), and collector
 binders for the bus/loader/fault layers (:mod:`repro.obs.instrument`).
 """
-from repro.obs.export import (
-    OBS_PREFIX,
-    PROMETHEUS_CONTENT_TYPE,
-    BPSelfLogger,
-    MetricsServer,
-    ObsEvents,
-    render_prometheus,
-)
-from repro.obs.instrument import bind_broker, bind_faults, bind_loader
-from repro.obs.metrics import (
-    DEFAULT_LATENCY_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    get_registry,
-    set_registry,
-)
-from repro.obs.spans import (
-    HEADER_PUB_TS,
-    HEADER_TRACE,
-    PipelineClock,
-    Span,
-    Tracer,
-    new_trace_id,
-    stamp_headers,
-)
-
-__all__ = [
-    "OBS_PREFIX",
-    "PROMETHEUS_CONTENT_TYPE",
-    "BPSelfLogger",
-    "MetricsServer",
-    "ObsEvents",
-    "render_prometheus",
-    "bind_broker",
-    "bind_faults",
-    "bind_loader",
-    "DEFAULT_LATENCY_BUCKETS",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "get_registry",
-    "set_registry",
-    "HEADER_PUB_TS",
-    "HEADER_TRACE",
-    "PipelineClock",
-    "Span",
-    "Tracer",
-    "new_trace_id",
-    "stamp_headers",
-]

@@ -20,7 +20,7 @@ from repro.pegasus.events import PegasusEventEmitter
 from repro.pegasus.executable import ExecutableJob, ExecutableWorkflow
 from repro.pegasus.planner import Planner, PlannerConfig
 from repro.pegasus.sites import Site, SiteCatalog
-from repro.schema.stampede import FAILURE, SUCCESS
+from repro.schema.events import FAILURE, SUCCESS
 from repro.util.simclock import SimClock
 from repro.util.uuidgen import UUIDFactory
 

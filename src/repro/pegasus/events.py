@@ -12,7 +12,7 @@ from repro.bus.client import EventSink
 from repro.netlogger.events import NLEvent
 from repro.pegasus.abstract import AbstractWorkflow
 from repro.pegasus.executable import ExecutableJob, ExecutableWorkflow
-from repro.schema.stampede import Events, FAILURE, SUCCESS
+from repro.schema.events import FAILURE, SUCCESS, Events
 
 __all__ = ["PegasusEventEmitter"]
 

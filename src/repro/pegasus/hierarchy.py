@@ -25,7 +25,7 @@ from repro.pegasus.dagman import DAGManReport, DAGManRun
 from repro.pegasus.executable import ExecutableJob, ExecutableWorkflow, JobType
 from repro.pegasus.planner import Planner, PlannerConfig
 from repro.pegasus.sites import SiteCatalog
-from repro.schema.stampede import FAILURE, SUCCESS
+from repro.schema.events import FAILURE, SUCCESS
 from repro.util.simclock import SimClock
 from repro.util.uuidgen import UUIDFactory, derive_uuid
 

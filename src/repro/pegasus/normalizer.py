@@ -20,7 +20,7 @@ from repro.pegasus.abstract import AbstractWorkflow
 from repro.pegasus.condor_log import JobstateEntry, KickstartRecord
 from repro.pegasus.events import PegasusEventEmitter
 from repro.pegasus.executable import ExecutableWorkflow
-from repro.schema.stampede import Events, FAILURE, SUCCESS
+from repro.schema.events import FAILURE, SUCCESS, Events
 
 __all__ = ["RawLogRecorder", "PegasusLogNormalizer", "normalize_run"]
 

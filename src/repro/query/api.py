@@ -23,7 +23,7 @@ from repro.model.entities import (
     WorkflowStateRow,
 )
 from repro.model.states import JobState, WorkflowState
-from repro.schema.stampede import SUCCESS
+from repro.schema.events import SUCCESS
 
 __all__ = ["JobInstanceDetail", "WorkflowSummaryCounts", "StampedeQuery"]
 

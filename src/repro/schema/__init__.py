@@ -1,27 +1,1 @@
 """Stampede event schema: YANG source, compiler, registry and validator."""
-from repro.schema.compiler import EventSchema, LeafSpec, SchemaRegistry, compile_module
-from repro.schema.stampede import (
-    FAILURE,
-    INCOMPLETE,
-    STAMPEDE_SCHEMA,
-    SUCCESS,
-    Events,
-)
-from repro.schema.validator import EventValidator, ValidationReport, Violation
-from repro.schema.yang_source import STAMPEDE_YANG
-
-__all__ = [
-    "EventSchema",
-    "LeafSpec",
-    "SchemaRegistry",
-    "compile_module",
-    "FAILURE",
-    "INCOMPLETE",
-    "STAMPEDE_SCHEMA",
-    "SUCCESS",
-    "Events",
-    "EventValidator",
-    "ValidationReport",
-    "Violation",
-    "STAMPEDE_YANG",
-]

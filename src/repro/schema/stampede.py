@@ -1,65 +1,19 @@
-"""Compiled Stampede schema singleton and event-name constants.
+"""Compiled Stampede schema singleton.
 
 Importing this module parses the YANG source and exposes the registry the
-rest of the system (engines, loader, validator) shares.  The constants
-below are the canonical event names so producers don't scatter string
-literals.
+rest of the system (engines, loader, validator) shares.  The event-name
+and status constants live in :mod:`repro.schema.events`, which is
+cheap to import.
 """
 from __future__ import annotations
 
 from repro.schema.compiler import SchemaRegistry, compile_module
+from repro.schema.events import Events
 from repro.schema.yang_source import STAMPEDE_YANG
 
-__all__ = ["STAMPEDE_SCHEMA", "Events", "SUCCESS", "FAILURE", "INCOMPLETE"]
+__all__ = ["STAMPEDE_SCHEMA"]
 
 STAMPEDE_SCHEMA: SchemaRegistry = compile_module(STAMPEDE_YANG)
-
-# Termination status codes used throughout the data model.
-SUCCESS = 0
-FAILURE = -1
-INCOMPLETE = -2
-
-
-class Events:
-    """Canonical Stampede event names (mirrors the YANG containers)."""
-
-    WF_PLAN = "stampede.wf.plan"
-    STATIC_START = "stampede.static.start"
-    STATIC_END = "stampede.static.end"
-    XWF_START = "stampede.xwf.start"
-    XWF_END = "stampede.xwf.end"
-    TASK_INFO = "stampede.task.info"
-    TASK_EDGE = "stampede.task.edge"
-    JOB_INFO = "stampede.job.info"
-    JOB_EDGE = "stampede.job.edge"
-    MAP_TASK_JOB = "stampede.wf.map.task_job"
-    MAP_SUBWF_JOB = "stampede.xwf.map.subwf_job"
-    JOB_INST_PRE_START = "stampede.job_inst.pre.start"
-    JOB_INST_PRE_TERM = "stampede.job_inst.pre.term"
-    JOB_INST_PRE_END = "stampede.job_inst.pre.end"
-    JOB_INST_SUBMIT_START = "stampede.job_inst.submit.start"
-    JOB_INST_SUBMIT_END = "stampede.job_inst.submit.end"
-    JOB_INST_HELD_START = "stampede.job_inst.held.start"
-    JOB_INST_HELD_END = "stampede.job_inst.held.end"
-    JOB_INST_MAIN_START = "stampede.job_inst.main.start"
-    JOB_INST_MAIN_TERM = "stampede.job_inst.main.term"
-    JOB_INST_MAIN_END = "stampede.job_inst.main.end"
-    JOB_INST_POST_START = "stampede.job_inst.post.start"
-    JOB_INST_POST_TERM = "stampede.job_inst.post.term"
-    JOB_INST_POST_END = "stampede.job_inst.post.end"
-    JOB_INST_HOST_INFO = "stampede.job_inst.host.info"
-    JOB_INST_IMAGE_INFO = "stampede.job_inst.image.info"
-    JOB_INST_ABORT_INFO = "stampede.job_inst.abort.info"
-    INV_START = "stampede.inv.start"
-    INV_END = "stampede.inv.end"
-
-    @classmethod
-    def all(cls):
-        return [
-            value
-            for name, value in vars(cls).items()
-            if not name.startswith("_") and isinstance(value, str)
-        ]
 
 
 def _check_schema_complete() -> None:

@@ -27,7 +27,7 @@ from typing import Dict, Optional
 
 from repro.bus.client import EventSink
 from repro.netlogger.events import NLEvent
-from repro.schema.stampede import Events, FAILURE, SUCCESS
+from repro.schema.events import FAILURE, SUCCESS, Events
 from repro.triana.execution import ExecutionEvent, ExecutionState
 from repro.triana.scheduler import InvocationRecord, Scheduler
 

@@ -1,41 +1,2 @@
 """Shared utilities: time formats, deterministic UUIDs, virtual clock,
 graphs, and the shared retry/backoff policy."""
-from repro.util.graph import CycleError, DiGraph, has_cycle, topological_sort
-from repro.util.retry import (
-    CircuitBreaker,
-    CircuitOpenError,
-    RetryError,
-    RetryPolicy,
-)
-from repro.util.simclock import SimClock, SimEvent
-from repro.util.text import indent, render_table
-from repro.util.timeutil import (
-    format_duration,
-    format_hms,
-    format_iso,
-    parse_iso,
-    parse_ts,
-)
-from repro.util.uuidgen import UUIDFactory, derive_uuid
-
-__all__ = [
-    "CircuitBreaker",
-    "CircuitOpenError",
-    "RetryError",
-    "RetryPolicy",
-    "CycleError",
-    "DiGraph",
-    "has_cycle",
-    "topological_sort",
-    "SimClock",
-    "SimEvent",
-    "indent",
-    "render_table",
-    "format_duration",
-    "format_hms",
-    "format_iso",
-    "parse_iso",
-    "parse_ts",
-    "UUIDFactory",
-    "derive_uuid",
-]

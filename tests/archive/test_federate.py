@@ -22,7 +22,7 @@ from repro.core.statistics import workflow_statistics
 from repro.model.entities import JobRow, WorkflowRow, WorkflowStateRow
 from repro.orm import MemoryDatabase
 from repro.query.api import StampedeQuery
-from repro.schema.stampede import Events
+from repro.schema.events import Events
 
 from tests.archive.test_shard import ROOT_UUIDS, load_single, workload_events
 

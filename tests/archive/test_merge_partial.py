@@ -11,7 +11,7 @@ import pytest
 
 from repro.archive.merge import canonical_dump, diff_canonical, merge_canonical
 from repro.archive.store import StampedeArchive
-from repro.loader import load_events
+from repro.loader.nl_load import load_events
 from repro.model.entities import (
     HostRow,
     InvocationRow,

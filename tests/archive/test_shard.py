@@ -29,12 +29,11 @@ from repro.archive.shard import (
 )
 from repro.archive.store import StampedeArchive
 from repro.bus.groups import partition_for
-from repro.loader import make_loader
-from repro.loader.nl_load import load_file_sharded
+from repro.loader.nl_load import load_file_sharded, make_loader
 from repro.model.entities import WorkflowRow
 from repro.netlogger.events import NLEvent
 from repro.netlogger.stream import write_events
-from repro.schema.stampede import Events
+from repro.schema.events import Events
 
 from tests.helpers import diamond_events
 

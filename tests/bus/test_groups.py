@@ -25,7 +25,7 @@ from repro.bus.groups import (
     partition_for,
 )
 from repro.bus.reliable import HEADER_PUBLISHER, HEADER_SEQ
-from repro.loader import load_events, load_from_bus, make_loader
+from repro.loader.nl_load import load_events, load_from_bus, make_loader
 
 from tests.helpers import diamond_events
 

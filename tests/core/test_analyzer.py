@@ -1,7 +1,7 @@
 import pytest
 
 from repro.core.analyzer import analyze, render_analysis
-from repro.loader import load_events
+from repro.loader.nl_load import load_events
 from repro.triana.appender import MemoryAppender
 from repro.dart.workflow import run_dart_experiment
 from repro.dart.sweep import sweep_grid

@@ -5,7 +5,7 @@ import urllib.request
 import pytest
 
 from repro.core.dashboard import Dashboard, DashboardData
-from repro.loader import load_events
+from repro.loader.nl_load import load_events
 from repro.obs.export import PROMETHEUS_CONTENT_TYPE
 from repro.obs.metrics import MetricsRegistry
 

@@ -2,7 +2,7 @@ import json
 import urllib.request
 
 from repro.core.dashboard import Dashboard, main
-from repro.loader import load_events
+from repro.loader.nl_load import load_events
 from repro.netlogger.stream import write_events
 
 from tests.helpers import diamond_events

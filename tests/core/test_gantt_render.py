@@ -1,6 +1,6 @@
 from repro.core.reports import render_gantt
 from repro.core.timeseries import GanttRow, gantt
-from repro.loader import load_events
+from repro.loader.nl_load import load_events
 from repro.query import StampedeQuery
 
 from tests.helpers import diamond_events

@@ -17,7 +17,7 @@ import pytest
 
 from repro.core.dashboard import Dashboard, DashboardData
 from repro.core.live import LiveFeed, ReadCache
-from repro.loader import load_events, make_loader
+from repro.loader.nl_load import load_events, make_loader
 from repro.obs.metrics import MetricsRegistry
 
 from tests.helpers import diamond_events

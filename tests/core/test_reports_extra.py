@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.reports import render_host_timeline, write_report_files
 from repro.core.statistics import HostUsage, host_breakdown, workflow_statistics
-from repro.loader import load_events
+from repro.loader.nl_load import load_events
 from repro.query import StampedeQuery
 
 from tests.helpers import diamond_events

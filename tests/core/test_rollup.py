@@ -22,7 +22,7 @@ from repro.core.rollup import (
     verify_rollups,
 )
 from repro.core.statistics import workflow_statistics
-from repro.loader import load_events, make_loader
+from repro.loader.nl_load import load_events, make_loader
 from repro.model.entities import (
     RollupHostBucketRow,
     RollupHostRow,
@@ -179,7 +179,7 @@ class TestKillResume:
 
     @pytest.mark.parametrize("cut", [0.25, 0.6, 0.9])
     def test_resume_matches_clean_run(self, tmp_path, cut):
-        from repro.loader import load_file
+        from repro.loader.nl_load import load_file
         from repro.netlogger.stream import read_events_with_offsets, write_events
 
         path = str(tmp_path / "run.bp")
@@ -259,7 +259,7 @@ class TestChaos:
         flush, and because rollup deltas apply inside the same
         transaction, the retried flush must not double-count them."""
         from repro.faults import FaultPlan
-        from repro.loader import make_loader as _make_loader
+        from repro.loader.nl_load import make_loader as _make_loader
 
         plan = FaultPlan.from_dict(
             {"seed": 3, "archive": {"fail_transactions": [1, 3]}}

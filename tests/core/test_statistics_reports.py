@@ -13,7 +13,7 @@ from repro.core.statistics import (
     job_type_breakdown,
     workflow_statistics,
 )
-from repro.loader import load_events
+from repro.loader.nl_load import load_events
 from repro.query import StampedeQuery
 
 from tests.helpers import diamond_events
@@ -153,8 +153,8 @@ class TestRenderers:
 class TestCli:
     def test_statistics_main(self, tmp_path, capsys):
         from repro.core.statistics import main
-        from repro.netlogger.stream import write_events
         from repro.loader.nl_load import main as nl_main
+        from repro.netlogger.stream import write_events
 
         bp = tmp_path / "run.bp"
         db = tmp_path / "run.db"

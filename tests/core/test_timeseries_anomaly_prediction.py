@@ -15,7 +15,7 @@ from repro.core.prediction import (
 from repro.core.timeseries import bundle_progress, throughput_series
 from repro.dart.sweep import sweep_grid
 from repro.dart.workflow import run_dart_experiment
-from repro.loader import load_events
+from repro.loader.nl_load import load_events
 from repro.netlogger.events import NLEvent
 from repro.query import StampedeQuery
 from repro.triana.appender import MemoryAppender

@@ -5,7 +5,7 @@ import pytest
 
 from repro.archive.store import StampedeArchive
 from repro.faults import ChaosDatabase, FaultPlan
-from repro.loader import load_events, make_loader
+from repro.loader.nl_load import load_events, make_loader
 from repro.model.entities import WorkflowRow
 
 from tests.helpers import diamond_events

@@ -12,10 +12,10 @@ import pytest
 from repro.faults import FaultPlan
 from repro.lint import LintConfig, Severity
 from repro.lint.stream import lint_bp
-from repro.loader import load_events
+from repro.loader.nl_load import load_events
 from repro.model.entities import JobInstanceRow, WorkflowRow
 from repro.pegasus import DAGManRun, Planner, run_pegasus_workflow
-from repro.schema.stampede import Events
+from repro.schema.events import Events
 from repro.triana.appender import MemoryAppender
 from repro.triana.scheduler import Scheduler
 from repro.triana.taskgraph import TaskGraph

@@ -9,7 +9,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.netlogger.events import NLEvent
-from repro.schema.stampede import Events
+from repro.schema.events import Events
 
 XWF = "11111111-2222-4333-8444-555555555555"
 

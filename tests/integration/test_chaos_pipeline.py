@@ -16,8 +16,8 @@ import pytest
 from repro.bus.broker import Broker
 from repro.bus.client import EventPublisher
 from repro.faults import ChaosBroker, FaultPlan
-from repro.loader import load_from_bus, make_loader
 from repro.loader.dlq import DLQ_TABLE
+from repro.loader.nl_load import load_from_bus, make_loader
 from repro.loader.nl_load import main as nl_load_main
 from repro.netlogger.stream import write_events
 

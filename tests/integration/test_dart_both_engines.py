@@ -6,7 +6,7 @@ import pytest
 from repro.dart.pegasus_variant import run_dart_pegasus
 from repro.dart.sweep import sweep_grid
 from repro.dart.workflow import run_dart_experiment
-from repro.loader import load_events
+from repro.loader.nl_load import load_events
 from repro.query import StampedeQuery
 from repro.schema.stampede import STAMPEDE_SCHEMA
 from repro.schema.validator import EventValidator

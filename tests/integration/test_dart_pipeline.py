@@ -14,7 +14,7 @@ from repro.core.reports import render_summary
 from repro.core.statistics import workflow_statistics
 from repro.core.timeseries import bundle_progress
 from repro.dart.workflow import run_dart_experiment
-from repro.loader import load_from_bus, load_events, make_loader
+from repro.loader.nl_load import load_events, load_from_bus, make_loader
 from repro.model.entities import WorkflowStateRow
 from repro.query import StampedeQuery
 from repro.schema.stampede import STAMPEDE_SCHEMA

@@ -28,7 +28,7 @@ from repro.archive.merge import canonical_dump, diff_canonical, merge_canonical
 from repro.bus.broker import Broker
 from repro.bus.net import BrokerServer, RemoteConsumer
 from repro.faults import ChaosBroker, FaultPlan
-from repro.loader import load_events, load_from_bus, make_loader
+from repro.loader.nl_load import load_events, load_from_bus, make_loader
 from repro.netlogger.events import NLEvent
 from repro.netlogger.stream import write_events
 from repro.pegasus import PlannerConfig, Site, SiteCatalog, run_pegasus_workflow

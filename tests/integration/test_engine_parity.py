@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.analyzer import analyze
 from repro.core.statistics import workflow_statistics
-from repro.loader import load_events, make_loader
+from repro.loader.nl_load import load_events, make_loader
 from repro.pegasus import PlannerConfig, run_pegasus_workflow
 from repro.query import StampedeQuery
 from repro.schema.stampede import STAMPEDE_SCHEMA

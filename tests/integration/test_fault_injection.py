@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.analyzer import analyze, render_analysis
 from repro.core.prediction import failure_score, failure_signals
-from repro.loader import load_events
+from repro.loader.nl_load import load_events
 from repro.query import StampedeQuery
 from repro.triana.appender import MemoryAppender
 from repro.triana.bundles import WorkflowBundle, register_unit_codec

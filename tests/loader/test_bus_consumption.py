@@ -5,7 +5,7 @@ import time
 
 from repro.bus.broker import Broker
 from repro.bus.client import EventPublisher
-from repro.loader import load_from_bus, make_loader
+from repro.loader.nl_load import load_from_bus, make_loader
 from repro.model.entities import InvocationRow, WorkflowStateRow
 
 from tests.helpers import diamond_events

@@ -13,9 +13,9 @@ import pytest
 from repro.archive.store import StampedeArchive
 from repro.bus.broker import Broker
 from repro.bus.client import EventPublisher
-from repro.loader import load_file, load_from_bus, make_loader
 from repro.loader.checkpoint import CheckpointManager
 from repro.loader.monitord import Monitord
+from repro.loader.nl_load import load_file, load_from_bus, make_loader
 from repro.loader.stampede_loader import LoaderError, StampedeLoader
 from repro.model.entities import (
     HostRow,

@@ -3,15 +3,8 @@ import pytest
 from repro.archive import StampedeArchive
 from repro.bus.broker import Broker
 from repro.bus.client import EventPublisher
-from repro.loader import (
-    LoaderError,
-    LoaderStats,
-    StampedeLoader,
-    load_events,
-    load_file,
-    load_from_bus,
-    make_loader,
-)
+from repro.loader.nl_load import load_events, load_file, load_from_bus, make_loader
+from repro.loader.stampede_loader import LoaderError, LoaderStats, StampedeLoader
 from repro.model.entities import (
     HostRow,
     InvocationRow,
@@ -25,7 +18,7 @@ from repro.model.entities import (
 from repro.netlogger.events import NLEvent
 from repro.netlogger.stream import write_events
 from repro.query import StampedeQuery
-from repro.schema.stampede import Events
+from repro.schema.events import Events
 
 from tests.helpers import XWF, diamond_events
 

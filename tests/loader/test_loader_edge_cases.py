@@ -2,7 +2,8 @@
 states, abort, image info, and tolerant-mode behaviours."""
 import pytest
 
-from repro.loader import LoaderError, load_events, make_loader
+from repro.loader.nl_load import load_events, make_loader
+from repro.loader.stampede_loader import LoaderError
 from repro.model.entities import (
     HostRow,
     JobInstanceRow,
@@ -10,7 +11,7 @@ from repro.model.entities import (
 )
 from repro.netlogger.events import NLEvent
 from repro.query import StampedeQuery
-from repro.schema.stampede import Events
+from repro.schema.events import Events
 
 from tests.helpers import XWF, diamond_events
 

@@ -10,15 +10,9 @@ from repro.archive.store import StampedeArchive
 from repro.bus.broker import DEAD_LETTER_QUEUE, Broker
 from repro.bus.client import EventPublisher
 from repro.faults import FaultPlan
-from repro.loader import (
-    DeadLetterQueue,
-    SpillBuffer,
-    SpillOverflowError,
-    load_events,
-    load_from_bus,
-    make_loader,
-)
-from repro.loader.dlq import DLQ_TABLE
+from repro.loader.dlq import DLQ_TABLE, DeadLetterQueue
+from repro.loader.nl_load import load_events, load_from_bus, make_loader
+from repro.loader.spill import SpillBuffer, SpillOverflowError
 from repro.loader.stampede_loader import StampedeLoader
 from repro.util.retry import RetryPolicy
 

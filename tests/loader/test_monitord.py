@@ -3,7 +3,8 @@ import time
 
 import pytest
 
-from repro.loader import Monitord, follow_file, make_loader
+from repro.loader.monitord import Monitord, follow_file
+from repro.loader.nl_load import make_loader
 from repro.model.entities import InvocationRow, WorkflowRow
 from repro.netlogger.stream import BPWriter
 from repro.query import StampedeQuery

@@ -20,6 +20,8 @@ class TestNlLoadCli:
         out = capsys.readouterr().out
         assert "events processed" in out
         assert "events/second" in out
+        startup = next(l for l in out.splitlines() if l.startswith("startup cpu s"))
+        assert float(startup.split(":")[1]) > 0
 
     def test_stdin_input(self, tmp_path, monkeypatch, capsys):
         text = "\n".join(e.to_bp() for e in diamond_events()) + "\n"
@@ -61,3 +63,23 @@ class TestNlLoadCli:
         flushes = int(next(l for l in out.splitlines() if "flushes" in l)
                       .split(":")[1])
         assert flushes > 10  # row-at-a-time flushing
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["-b", "0"],
+            ["--shard-dir", "shards", "--shards", "0"],
+            ["--chunk-size", "0", "-w", "2"],
+            ["--partitions", "0", "--bus", "tcp://127.0.0.1:1"],
+        ],
+        ids=["batch-size", "shards", "chunk-size", "partitions"],
+    )
+    def test_zero_counts_are_usage_errors(self, tmp_path, capsys, flags):
+        bp = tmp_path / "run.bp"
+        write_events(bp, diamond_events())
+        with pytest.raises(SystemExit) as exc:
+            main([str(bp), *flags])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "nl-load: error:" in err
+        assert "must be a positive integer" in err

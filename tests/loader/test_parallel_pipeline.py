@@ -14,15 +14,10 @@ import pytest
 from repro.archive.store import StampedeArchive
 from repro.bus.client import EventPublisher
 from repro.faults import ChaosBroker, FaultPlan
-from repro.loader import (
-    ParsePool,
-    StampedeLoader,
-    load_file,
-    load_from_bus,
-    make_loader,
-    process_pool_available,
-)
+from repro.loader.nl_load import load_file, load_from_bus, make_loader
 from repro.loader.nl_load import main as nl_load_main
+from repro.loader.pipeline import ParsePool, process_pool_available
+from repro.loader.stampede_loader import StampedeLoader
 from repro.netlogger.bp import BPParseError
 from repro.netlogger.stream import write_events
 from repro.orm import (

@@ -1,7 +1,7 @@
 """BP quoting/escaping edge cases and duplicate-attribute handling."""
 import pytest
 
-from repro.netlogger import (
+from repro.netlogger.bp import (
     BPParseError,
     format_bp_line,
     parse_bp_line,

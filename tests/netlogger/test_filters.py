@@ -75,7 +75,7 @@ class TestFilters:
 class TestGantt:
     def test_gantt_rows(self):
         from repro.core.timeseries import gantt
-        from repro.loader import load_events
+        from repro.loader.nl_load import load_events
         from repro.query import StampedeQuery
 
         loader = load_events(diamond_events())
@@ -97,7 +97,7 @@ class TestGantt:
 
     def test_gantt_incomplete_instance(self):
         from repro.core.timeseries import gantt
-        from repro.loader import load_events
+        from repro.loader.nl_load import load_events
         from repro.query import StampedeQuery
 
         # drop the tail so job 'd' never finishes

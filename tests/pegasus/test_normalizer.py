@@ -5,7 +5,7 @@ import io
 
 import pytest
 
-from repro.loader import load_events
+from repro.loader.nl_load import load_events
 from repro.pegasus import (
     DAGManRun,
     JobstateEntry,

@@ -1,6 +1,6 @@
 import pytest
 
-from repro.loader import load_events
+from repro.loader.nl_load import load_events
 from repro.model.entities import JobInstanceRow, JobRow, TaskRow
 from repro.pegasus import (
     AbstractTask,

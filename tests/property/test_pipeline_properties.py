@@ -4,7 +4,7 @@ invariants."""
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.loader import load_events
+from repro.loader.nl_load import load_events
 from repro.model.entities import (
     InvocationRow,
     JobInstanceRow,

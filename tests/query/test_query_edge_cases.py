@@ -1,7 +1,7 @@
 """Query-API edge cases: empty workflows, missing hosts, detail fallbacks."""
 import pytest
 
-from repro.loader import load_events, make_loader
+from repro.loader.nl_load import load_events, make_loader
 from repro.model.entities import (
     JobInstanceRow,
     JobRow,

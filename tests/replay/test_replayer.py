@@ -6,7 +6,7 @@ from repro.bus.broker import Broker
 from repro.bus.client import EventPublisher
 from repro.bus.groups import HEADER_PART_KEY
 from repro.bus.reliable import HEADER_PUBLISHER, HEADER_SEQ
-from repro.loader import load_events, load_from_bus
+from repro.loader.nl_load import load_events, load_from_bus
 from repro.obs.spans import HEADER_PUB_TS, HEADER_TRACE
 from repro.replay.recorder import BusRecorder
 from repro.replay.replayer import Replayer, replay

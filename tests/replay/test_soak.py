@@ -6,8 +6,8 @@ from repro.archive.store import StampedeArchive
 from repro.bus.broker import Broker
 from repro.bus.client import EventPublisher
 from repro.faults.plan import FaultPlan
-from repro.loader import load_events, load_from_bus
 from repro.loader.checkpoint import CheckpointManager
+from repro.loader.nl_load import load_events, load_from_bus
 from repro.loader.stampede_loader import StampedeLoader
 from repro.replay.shape import ConstantRate
 from repro.replay.soak import run_soak, storm_stream

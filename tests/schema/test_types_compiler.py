@@ -1,7 +1,8 @@
 import pytest
 
 from repro.schema.compiler import compile_module
-from repro.schema.stampede import STAMPEDE_SCHEMA, Events
+from repro.schema.events import Events
+from repro.schema.stampede import STAMPEDE_SCHEMA
 from repro.schema.yang.parser import parse_yang
 from repro.schema.yang.types import TypeRegistry, YangTypeError
 

@@ -1,7 +1,8 @@
 import pytest
 
 from repro.netlogger.events import NLEvent
-from repro.schema.stampede import STAMPEDE_SCHEMA, Events
+from repro.schema.events import Events
+from repro.schema.stampede import STAMPEDE_SCHEMA
 from repro.schema.validator import EventValidator
 
 XWF = "ea17e8ac-02ac-4909-b5e3-16e367392556"

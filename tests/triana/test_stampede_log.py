@@ -1,9 +1,10 @@
 import pytest
 
-from repro.loader import load_events
+from repro.loader.nl_load import load_events
 from repro.model.entities import InvocationRow, JobRow, TaskRow, WorkflowRow
 from repro.query import StampedeQuery
-from repro.schema.stampede import STAMPEDE_SCHEMA, Events
+from repro.schema.events import Events
+from repro.schema.stampede import STAMPEDE_SCHEMA
 from repro.schema.validator import EventValidator
 from repro.triana.appender import MemoryAppender
 from repro.triana.scheduler import Scheduler

@@ -1,6 +1,6 @@
 import pytest
 
-from repro.loader import load_events
+from repro.loader.nl_load import load_events
 from repro.pegasus import PlannerConfig, run_pegasus_workflow
 from repro.query import StampedeQuery
 from repro.triana.appender import MemoryAppender
