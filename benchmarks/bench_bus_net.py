@@ -16,6 +16,9 @@ ack.  Runs standalone (no pytest)::
 
 ``--min-eps`` (or env ``STAMPEDE_BUS_MIN_EPS``) turns it into a CI
 gate: exit 1 when end-to-end throughput lands under the floor.
+``--max-fetches-per-event`` gates the server's ``get`` count per
+event, a figure host noise does not move: a loader that falls back to
+one round trip per event reads ~1.0, a chunked one ~0.01.
 """
 import argparse
 import json
@@ -99,6 +102,10 @@ def run_bench(n_ruptures: int, idle_exit: float = 2.0):
                 queue = broker.queue(QUEUE)
 
                 start = time.monotonic()
+                # fetches are counted over the ingest window only: the
+                # loader's idle polls before the publisher starts and
+                # during --idle-exit are not per-event cost
+                fetches_before = server.fetches
                 publish = subprocess.run(
                     [
                         sys.executable, "-m", "repro.bus.cli",
@@ -123,6 +130,7 @@ def run_bench(n_ruptures: int, idle_exit: float = 2.0):
                         )
                     time.sleep(0.02)
                 ingest_elapsed = time.monotonic() - start
+                fetches = server.fetches - fetches_before
                 out, _ = loader.communicate(timeout=idle_exit + 60)
                 if loader.returncode != 0:
                     raise RuntimeError(f"loader failed: {out}")
@@ -134,6 +142,8 @@ def run_bench(n_ruptures: int, idle_exit: float = 2.0):
         results["ingest_s"] = round(ingest_elapsed, 4)
         results["ingest_eps"] = round(len(events) / ingest_elapsed, 1)
         results["server_publishes"] = server.publishes
+        results["ingest_fetches"] = fetches
+        results["fetches_per_event"] = round(fetches / len(events), 4)
         results["server_connections"] = server.connections_total
     return results
 
@@ -152,6 +162,10 @@ def main(argv=None) -> int:
         default=float(os.environ.get("STAMPEDE_BUS_MIN_EPS", 0)),
         help="fail (exit 1) if end-to-end events/s lands below this floor",
     )
+    parser.add_argument(
+        "--max-fetches-per-event", type=float, default=0.0,
+        help="fail (exit 1) if the loader's get requests per event exceed this",
+    )
     args = parser.parse_args(argv)
 
     results = run_bench(args.ruptures)
@@ -161,7 +175,8 @@ def main(argv=None) -> int:
         f"bus-net: {results['events']} events | "
         f"publish {results['publish_eps']:,.0f} ev/s | "
         f"end-to-end ingest {results['ingest_eps']:,.0f} ev/s "
-        f"({results['ingest_s']:.2f}s, two processes via TCP loopback)"
+        f"({results['ingest_s']:.2f}s, two processes via TCP loopback) | "
+        f"{results['fetches_per_event']:.4f} fetches/event"
     )
     if args.out:
         Path(args.out).write_text(json.dumps(results, indent=2) + "\n")
@@ -170,6 +185,13 @@ def main(argv=None) -> int:
         print(
             f"FAIL: ingest {results['ingest_eps']:,.0f} ev/s "
             f"< floor {args.min_eps:,.0f} ev/s"
+        )
+        return 1
+    if (args.max_fetches_per_event
+            and results["fetches_per_event"] > args.max_fetches_per_event):
+        print(
+            f"FAIL: {results['fetches_per_event']:.4f} fetches/event "
+            f"> ceiling {args.max_fetches_per_event}"
         )
         return 1
     return 0

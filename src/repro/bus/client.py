@@ -19,7 +19,7 @@ from repro.bus.broker import (
     ConnectionLostError,
     Consumer,
 )
-from repro.bus.queues import Message
+from repro.bus.queues import Message, ack_each, take_messages
 from repro.bus.reliable import HEADER_PUBLISHER, HEADER_SEQ
 from repro.netlogger.events import NLEvent
 from repro.netlogger.stream import BPWriter
@@ -185,8 +185,26 @@ class EventConsumer:
         """
         return self._consumer.get(timeout=timeout, auto_ack=auto_ack)
 
+    def take(
+        self,
+        limit: int,
+        idle: float,
+        cap: Optional[float] = None,
+    ) -> List[Message]:
+        """Up to ``limit`` unacked messages, held until that many are in
+        hand or none has arrived for ``idle`` seconds (see
+        :func:`~repro.bus.queues.take_messages`)."""
+        return take_messages(
+            lambda t: self._consumer.get(timeout=t, auto_ack=False),
+            limit, idle, cap,
+        )
+
     def ack(self, message: Message) -> None:
         self._consumer.ack(message)
+
+    def ack_all(self, messages: Iterable[Message]) -> None:
+        """Settle a committed batch; stale tags are skipped."""
+        ack_each(self._consumer.ack, messages)
 
     def nack(self, message: Message, requeue: bool = True) -> None:
         self._consumer.nack(message, requeue=requeue)

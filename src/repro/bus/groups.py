@@ -39,9 +39,9 @@ import threading
 import time
 import zlib
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
-from repro.bus.queues import Message, MessageQueue
+from repro.bus.queues import Message, MessageQueue, ack_each, take_messages
 from repro.bus.reliable import HEADER_PUBLISHER, HEADER_SEQ
 from repro.bus.topic import topic_matches
 
@@ -684,8 +684,23 @@ class GroupConsumer:
             return None
         return None if msg is None else EventConsumer.as_event(msg)
 
+    def take(
+        self,
+        limit: int,
+        idle: float,
+        cap: Optional[float] = None,
+    ) -> List[Message]:
+        """Batch fetch; see :meth:`repro.bus.client.EventConsumer.take`."""
+        return take_messages(
+            lambda t: self._member.get(timeout=t, auto_ack=False),
+            limit, idle, cap,
+        )
+
     def ack(self, message: Message) -> None:
         self._member.ack(message.delivery_tag)
+
+    def ack_all(self, messages: Iterable[Message]) -> None:
+        ack_each(self.ack, messages)
 
     def nack(self, message: Message, requeue: bool = True) -> None:
         self._member.nack(message.delivery_tag, requeue=requeue)

@@ -23,7 +23,12 @@ Wire protocol (versioned, newline-delimited JSON):
   barrier that reports delivery counts and surfaces errors;
 * ``get`` waits *server-side* (capped per request) so an idle consumer
   parks on the broker's condition variables instead of request-spamming
-  the socket.
+  the socket.  A plain ``get`` replies one ``msg`` (or ``empty``); a
+  ``get`` carrying ``max=N`` holds until N messages are ready or none
+  has arrived for its ``timeout`` (the idle gap), and replies them all
+  as ``msgs`` — one round trip per chunk instead of one per message;
+* ``ack`` is fire-and-forget and settles one ``tag`` or a whole
+  committed batch as ``tags``; stale tags are skipped silently.
 
 :class:`RemotePublisher` / :class:`RemoteConsumer` mirror the
 :mod:`repro.bus.client` interfaces, so ``load_from_bus(bus='tcp://…')``
@@ -36,7 +41,7 @@ import json
 import socket
 import threading
 import time
-from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union, cast
 
 from repro.bus.broker import (
     DEFAULT_EXCHANGE,
@@ -46,7 +51,7 @@ from repro.bus.broker import (
 )
 from repro.bus.client import EventConsumer, EventPublisher
 from repro.bus.groups import HEADER_PART_KEY, GroupConsumer, PartitionKeyer
-from repro.bus.queues import Message
+from repro.bus.queues import Message, ack_each
 from repro.bus.reliable import HEADER_PUBLISHER, HEADER_SEQ
 from repro.netlogger.events import NLEvent
 from repro.obs.spans import (
@@ -78,6 +83,9 @@ PROTOCOL_VERSION = 1
 #: client that died mid-wait; clients with longer (or infinite)
 #: timeouts just re-issue the request
 SERVER_WAIT_CAP = 5.0
+
+#: messages per reply when :meth:`RemoteConsumer.drain` empties a queue
+DRAIN_CHUNK = 512
 
 #: socket-level timeout on client request/reply exchanges; generous
 #: because a flush barrier behind a large publish burst is legitimate
@@ -233,6 +241,8 @@ class BrokerServer:
         self._conn_ids = 0
         self.connections_total = 0
         self.publishes = 0
+        #: ``get`` requests served, held or not
+        self.fetches = 0
         self.protocol_errors = 0
 
     # -- lifecycle ------------------------------------------------------------
@@ -385,16 +395,21 @@ class BrokerServer:
                         })
                     elif op == "get":
                         consumer = self._sub(subs, frame)
+                        self.fetches += 1
                         timeout = frame.get("timeout")
                         wait = (
                             SERVER_WAIT_CAP if timeout is None
                             else min(float(timeout), SERVER_WAIT_CAP)  # type: ignore[arg-type]
                         )
+                        held = frame.get("max")
+                        limit = 1 if held is None else int(held)  # type: ignore[arg-type]
+                        if limit < 1:
+                            raise ValueError(f"max must be >= 1, got {limit}")
                         try:
-                            msg = consumer.get_message(
-                                timeout=wait,
-                                auto_ack=bool(frame.get("auto_ack", False)),
-                            )
+                            msgs = consumer.take(limit, wait, cap=SERVER_WAIT_CAP)
+                            if frame.get("auto_ack"):
+                                for m in msgs:
+                                    consumer.ack(m)
                         except ConnectionLostError as exc:
                             subs.pop(int(frame["sub"]), None)  # type: ignore[arg-type]
                             conn.send({
@@ -402,17 +417,22 @@ class BrokerServer:
                                 "error": str(exc),
                             })
                             continue
-                        if msg is None:
-                            conn.send({"ok": True, "id": rid, "empty": True})
-                        else:
+                        if held is not None:
                             conn.send({
                                 "ok": True, "id": rid,
-                                "msg": _encode_message(msg),
+                                "msgs": [_encode_message(m) for m in msgs],
                             })
+                        elif msgs:
+                            conn.send({
+                                "ok": True, "id": rid,
+                                "msg": _encode_message(msgs[0]),
+                            })
+                        else:
+                            conn.send({"ok": True, "id": rid, "empty": True})
                     elif op == "ack":
-                        # fire-and-forget, like publish: the loader acks in
-                        # batches and a stale tag is already tolerated
-                        # in-process (ack_quiet), so a reply per ack would
+                        # fire-and-forget, like publish: the loader acks a
+                        # committed batch as one ``tags`` frame and a stale
+                        # tag is tolerated in-process too, so a reply would
                         # only throttle the commit path
                         self._settle(subs, frame, requeue=None)
                     elif op == "nack":
@@ -471,16 +491,20 @@ class BrokerServer:
     ) -> None:
         try:
             consumer = self._sub(subs, frame)
+            tags = frame["tags"] if "tags" in frame else [frame["tag"]]
+            if not isinstance(tags, list):
+                raise TypeError("tags must be a list")
             # the consumer interfaces settle by Message; only the tag is
             # meaningful, so rehydrate a shell around it
-            shell = Message("", None, delivery_tag=int(frame["tag"]))  # type: ignore[arg-type]
-            if requeue is None:
-                consumer.ack(shell)
-            else:
-                consumer.nack(shell, requeue=requeue)
+            shells = [Message("", None, delivery_tag=int(t)) for t in tags]
+            ack_each(
+                consumer.ack if requeue is None
+                else lambda m: consumer.nack(m, requeue=bool(requeue)),
+                shells,
+            )
         except (ConnectionLostError, KeyError, TypeError, ValueError):
             # fire-and-forget settle on a stale tag/sub: drop it, exactly
-            # as ack_quiet does in-process after a reconnect
+            # as the loader does in-process after a reconnect
             pass
 
 
@@ -774,6 +798,24 @@ class RemoteConsumer:
                 return None
             # empty + time left (or blocking): park again server-side
 
+    def take(
+        self, limit: int, idle: float, auto_ack: bool = False
+    ) -> List[Message]:
+        """Up to ``limit`` messages in one round trip.
+
+        The server holds the request until ``limit`` messages are ready
+        or none has arrived for ``idle`` seconds, the whole hold capped
+        at :data:`SERVER_WAIT_CAP`; a short (possibly empty) list means
+        the stream went idle.
+        """
+        reply = self._request({
+            "op": "get", "max": limit, "timeout": idle, "auto_ack": auto_ack,
+        })
+        return [
+            _decode_message(m)
+            for m in cast(List[Dict[str, object]], reply["msgs"])
+        ]
+
     def get(
         self, timeout: Optional[float] = DEFAULT_POLL_TIMEOUT
     ) -> Optional[NLEvent]:
@@ -785,18 +827,23 @@ class RemoteConsumer:
         return None if msg is None else EventConsumer.as_event(msg)
 
     def ack(self, message: Message) -> None:
-        self._settle("ack", message.delivery_tag)
+        self._settle({"op": "ack", "tag": message.delivery_tag})
+
+    def ack_all(self, messages: Iterable[Message]) -> None:
+        """Settle a committed batch with one ``tags`` frame."""
+        tags = [m.delivery_tag for m in messages]
+        if tags:
+            self._settle({"op": "ack", "tags": tags})
 
     def nack(self, message: Message, requeue: bool = True) -> None:
-        self._settle("nack", message.delivery_tag, requeue=requeue)
+        self._settle({"op": "nack", "tag": message.delivery_tag, "requeue": requeue})
 
-    def _settle(self, op: str, tag: int, **extra: object) -> None:
+    def _settle(self, frame: Dict[str, object]) -> None:
         if self._conn is None or self._sub is None:
             raise ConnectionLostError("not connected to bus server")
-        frame: Dict[str, object] = {"op": op, "sub": self._sub, "tag": tag}
-        frame.update(extra)
         try:
-            self._conn.send(frame)  # fire-and-forget, like in-process acks
+            # fire-and-forget, like in-process acks
+            self._conn.send(dict(frame, sub=self._sub))
         except OSError as exc:
             raise self._lost(str(exc)) from None
 
@@ -804,19 +851,15 @@ class RemoteConsumer:
         return int(self._request({"op": "depth"}).get("depth", 0))  # type: ignore[arg-type]
 
     def drain(self) -> List[NLEvent]:
-        out: List[NLEvent] = []
-        while True:
-            msg = self.get_message(timeout=0.0, auto_ack=True)
-            if msg is None:
-                return out
-            out.append(EventConsumer.as_event(msg))
+        return list(self)
 
     def __iter__(self) -> Iterator[NLEvent]:
         while True:
-            msg = self.get_message(timeout=0.0, auto_ack=True)
-            if msg is None:
+            msgs = self.take(DRAIN_CHUNK, 0.0, auto_ack=True)
+            for msg in msgs:
+                yield EventConsumer.as_event(msg)
+            if len(msgs) < DRAIN_CHUNK:
                 return
-            yield EventConsumer.as_event(msg)
 
     def cancel(self) -> None:
         if self._conn is None or self._sub is None:

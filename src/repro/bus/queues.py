@@ -18,9 +18,12 @@ import threading
 import time
 from collections import OrderedDict, deque
 from dataclasses import dataclass
-from typing import Deque, Mapping, Optional
+from typing import Callable, Deque, Iterable, List, Mapping, Optional
 
-__all__ = ["Message", "QueueStats", "MessageQueue", "QueueFullError"]
+__all__ = [
+    "Message", "QueueStats", "MessageQueue", "QueueFullError",
+    "take_messages", "ack_each",
+]
 
 OVERFLOW_POLICIES = ("drop-oldest", "raise", "block")
 
@@ -225,3 +228,42 @@ class MessageQueue:
             self.stats.acked += len(items)
             self._not_full.notify_all()
             return items
+
+
+def take_messages(
+    get: Callable[[float], Optional[Message]],
+    limit: int,
+    idle: float,
+    cap: Optional[float] = None,
+) -> List[Message]:
+    """Hold one fetch until ``limit`` messages are in hand, or until none
+    has arrived for ``idle`` seconds.  ``cap`` bounds the time spent
+    waiting: past it, the hold takes only what is already queued.
+
+    ``get(timeout)`` is one consumer's blocking pop.  Every consumer
+    kind fetches through here — the TCP server's ``get`` handler and the
+    loader's in-process consumers alike — so a batch consumer pays one
+    wake-up per chunk instead of one per message.  Callers pop unacked:
+    a :class:`~repro.bus.broker.ConnectionLostError` from ``get``
+    propagates and drops what was collected, which the disconnect that
+    raised it has already requeued.
+    """
+    msgs: List[Message] = []
+    deadline = None if cap is None else time.monotonic() + cap
+    while len(msgs) < limit:
+        wait = idle if deadline is None else min(idle, deadline - time.monotonic())
+        msg = get(max(0.0, wait))
+        if msg is None:
+            break
+        msgs.append(msg)
+    return msgs
+
+
+def ack_each(ack: Callable[[Message], None], messages: Iterable[Message]) -> None:
+    """Settle every message through ``ack``, skipping stale delivery tags
+    (a requeue or rebalance already took them back) silently."""
+    for msg in messages:
+        try:
+            ack(msg)
+        except ValueError:
+            pass

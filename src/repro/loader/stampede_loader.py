@@ -408,6 +408,12 @@ class StampedeLoader:
         self.stats.wall_seconds += time.perf_counter() - start
         return self.stats
 
+    @property
+    def pending_ops(self) -> int:
+        """Journalled ops the next flush will write (batch-full at
+        ``batch_size``)."""
+        return len(self._pending)
+
     def flush(self) -> None:
         """Replay the pending journal as one transaction (with retries).
 

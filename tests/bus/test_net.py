@@ -14,6 +14,8 @@ import time
 
 import pytest
 
+from repro.archive.merge import canonical_dump, diff_canonical
+from repro.bus import net
 from repro.bus.broker import Broker, ConnectionLostError
 from repro.bus.net import (
     PROTOCOL_VERSION,
@@ -26,8 +28,14 @@ from repro.bus.net import (
     encode_body,
     parse_bus_url,
 )
+from repro.bus.queues import Message
+from repro.core.rollup import verify_rollups
+from repro.loader.nl_load import load_events, load_from_bus
 from repro.netlogger.events import NLEvent
+from repro.pegasus import PlannerConfig, Site, SiteCatalog, run_pegasus_workflow
+from repro.triana.appender import MemoryAppender
 from repro.util.retry import RetryPolicy
+from repro.workloads import cybershake
 
 from tests.helpers import diamond_events
 
@@ -309,3 +317,225 @@ class TestFailureModes:
         # publisher stamps (and therefore resequencer dedupe) carry over
         assert consumer.queue_name.rsplit(".", 1)[-1] == member
         consumer.cancel()
+
+
+def publish_later(server, events, delay):
+    """Publish ``events`` from a thread after ``delay`` seconds."""
+    def run():
+        time.sleep(delay)
+        publisher = RemotePublisher(server.url)
+        publisher.publish_all(events)
+        publisher.close()
+
+    t = threading.Thread(target=run)
+    t.start()
+    return t
+
+
+class TestHeldGet:
+    """``get`` with ``max``: hold until N are ready or the stream idles."""
+
+    def test_returns_at_max(self, server):
+        consumer = RemoteConsumer(server.url, queue_name="q", durable=True)
+        publisher = RemotePublisher(server.url)
+        publisher.publish_all(diamond_events())
+        publisher.flush()
+        start = time.monotonic()
+        msgs = consumer.take(3, idle=5.0)
+        assert len(msgs) == 3
+        assert time.monotonic() - start < 2.0  # full: no idle wait
+        assert [m.routing_key for m in msgs] == [
+            e.event for e in diamond_events()[:3]
+        ]
+        publisher.close()
+        consumer.cancel()
+
+    def test_returns_on_idle_gap(self, server):
+        consumer = RemoteConsumer(server.url, queue_name="q", durable=True)
+        publisher = RemotePublisher(server.url)
+        publisher.publish_all(diamond_events()[:2])
+        publisher.flush()
+        start = time.monotonic()
+        msgs = consumer.take(100, idle=0.3)
+        waited = time.monotonic() - start
+        assert len(msgs) == 2
+        assert 0.25 < waited < 2.0  # held for one idle gap, then replied
+        assert server.fetches == 1
+        publisher.close()
+        consumer.cancel()
+
+    def test_whole_hold_bounded_by_server_wait_cap(self, server, monkeypatch):
+        monkeypatch.setattr(net, "SERVER_WAIT_CAP", 0.4)
+        consumer = RemoteConsumer(server.url, queue_name="q", durable=True)
+        stop = threading.Event()
+
+        def trickle():
+            # a gap shorter than the idle timeout, forever: only the cap
+            # can end the hold
+            publisher = RemotePublisher(server.url, flush_every=1)
+            for event in diamond_events() * 100:
+                if stop.is_set():
+                    break
+                publisher.publish(event)
+                time.sleep(0.02)
+            publisher.close()
+
+        t = threading.Thread(target=trickle)
+        t.start()
+        try:
+            time.sleep(0.1)
+            start = time.monotonic()
+            msgs = consumer.take(10_000, idle=5.0)
+            waited = time.monotonic() - start
+        finally:
+            stop.set()
+            t.join()
+        assert 0 < len(msgs) < 10_000
+        assert 0.3 < waited < 2.0
+        consumer.cancel()
+
+    def test_max_one_is_a_plain_get(self, server):
+        consumer = RemoteConsumer(server.url, queue_name="q", durable=True)
+        event = diamond_events()[0]
+        t = publish_later(server, [event], 0.3)
+        start = time.monotonic()
+        msgs = consumer.take(1, idle=5.0)
+        waited = time.monotonic() - start
+        t.join()
+        # replies on the first arrival, like get_message, not after an
+        # idle gap
+        assert [NLEvent.from_bp(m.body) for m in msgs] == [event]
+        assert 0.2 < waited < 4.0
+        # and an empty stream replies an empty list after the timeout
+        assert consumer.take(1, idle=0.1) == []
+        consumer.cancel()
+
+    def test_plain_get_keeps_its_reply_shape(self, server):
+        sock = raw_conn(server)
+        send_line(sock, {"op": "hello", "v": PROTOCOL_VERSION, "id": 1})
+        recv_line(sock)
+        send_line(sock, {"op": "subscribe", "queue": "q", "id": 2})
+        assert recv_line(sock)["ok"]
+        send_line(sock, {"op": "get", "sub": 1, "timeout": 0.0, "id": 3})
+        assert recv_line(sock) == {"ok": True, "id": 3, "empty": True}
+        send_line(sock, {"op": "get", "sub": 1, "max": 0, "id": 4})
+        reply = recv_line(sock)
+        assert reply["ok"] is False and "max" in reply["error"]
+        sock.close()
+
+    def test_tags_ack_settles_every_tag_and_skips_stale(self, server):
+        consumer = RemoteConsumer(server.url, queue_name="q", durable=True)
+        publisher = RemotePublisher(server.url)
+        publisher.publish_all(diamond_events()[:4])
+        publisher.flush()
+        msgs = consumer.take(4, idle=1.0)
+        assert len(msgs) == 4
+        queue = server.broker.queue("q")
+        assert queue.unacked_count == 4
+        stale = Message("", None, delivery_tag=999_999)
+        consumer.ack_all([msgs[0], stale, *msgs[1:]])
+        assert consumer.depth() == 0  # a round trip: the acks landed first
+        assert queue.stats.acked == 4
+        assert queue.unacked_count == 0
+        publisher.close()
+        consumer.cancel()
+
+    def test_drain_fetches_a_chunk_per_round_trip(self, server):
+        consumer = RemoteConsumer(server.url, queue_name="q", durable=True)
+        events = diamond_events() * 100
+        publisher = RemotePublisher(server.url)
+        publisher.publish_all(events)
+        publisher.flush()
+        assert consumer.drain() == events
+        # len // DRAIN_CHUNK full replies, then the short one that ends it
+        assert server.fetches == len(events) // net.DRAIN_CHUNK + 1
+        assert server.broker.queue("q").unacked_count == 0  # auto-acked
+        publisher.close()
+        consumer.cancel()
+
+    def test_disconnect_mid_hold_requeues_held_messages(self, server):
+        sock = raw_conn(server)
+        send_line(sock, {"op": "hello", "v": PROTOCOL_VERSION, "id": 1})
+        recv_line(sock)
+        send_line(
+            sock,
+            {"op": "subscribe", "queue": "q", "durable": True,
+             "pattern": "stampede.#", "id": 2},
+        )
+        assert recv_line(sock)["ok"]
+        pub = RemotePublisher(server.url)
+        pub.publish_all(diamond_events()[:3])
+        pub.flush()
+        # the server pops all three into its hold, waiting for seven more
+        send_line(sock, {"op": "get", "sub": 1, "max": 10, "timeout": 0.5,
+                         "id": 3})
+        deadline = time.monotonic() + 5
+        queue = server.broker.queue("q")
+        while queue.unacked_count < 3 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert queue.unacked_count == 3
+        sock.close()  # the client dies mid-hold
+        consumer = RemoteConsumer(server.url, queue_name="q", durable=True)
+        got = []
+        deadline = time.monotonic() + 5
+        while len(got) < 3 and time.monotonic() < deadline:
+            got.extend(consumer.take(10, idle=0.3))
+        assert [m.routing_key for m in got] == [
+            e.event for e in diamond_events()[:3]
+        ]
+        assert all(m.redelivered for m in got)
+        pub.close()
+        consumer.cancel()
+
+
+def _cybershake_events(n_ruptures, seed=5):
+    sink = MemoryAppender()
+    run_pegasus_workflow(
+        cybershake(n_ruptures=n_ruptures),
+        sink,
+        catalog=SiteCatalog(
+            [Site("pool", slots=32, mean_queue_delay=1.0, hosts_per_site=8)]
+        ),
+        planner_config=PlannerConfig(cluster_size=4),
+        seed=seed,
+    )
+    # the wire carries BP text; build the baseline from the same values
+    return [NLEvent.from_bp(e.to_bp()) for e in sink.events]
+
+
+class TestRemoteLoadRoundTrips:
+    def test_remote_load_fetches_per_chunk_not_per_event(self, server):
+        """Regression: a remote loader used to make one ``get`` round
+        trip per event.  Held fetches sized to the batch's free room
+        bring that to one per chunk, with the same archive."""
+        events = _cybershake_events(52)
+        assert len(events) >= 1900
+        result = {}
+
+        def consume():
+            result["loader"] = load_from_bus(
+                server.url,
+                queue_name="q",
+                durable=True,
+                until=lambda ld: ld.stats.events_processed >= len(events),
+            )
+
+        t = threading.Thread(target=consume)
+        t.start()
+        deadline = time.monotonic() + 10
+        while "q" not in server.broker.queue_names():
+            assert time.monotonic() < deadline, "loader never subscribed"
+            time.sleep(0.01)
+        publisher = RemotePublisher(server.url)
+        publisher.publish_all(events)
+        publisher.close()
+        t.join(timeout=120)
+        assert not t.is_alive()
+        loader = result["loader"]
+        assert loader.stats.events_processed == len(events)
+        assert server.fetches <= len(events) / 100
+        baseline = load_events(events)
+        assert diff_canonical(
+            canonical_dump(baseline.archive), canonical_dump(loader.archive)
+        ) == []
+        assert verify_rollups(loader.archive) == []
